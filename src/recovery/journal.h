@@ -12,12 +12,14 @@
 //   { SwapIntent{a, b, kind} ... SwapCommit }*   — around every copy
 //   WriteCommit{seq}                    — after the write fully applied
 //
-// Every record is [type u8][len u8][payload][crc32 u32]. A crash can cut
-// the byte stream anywhere — including inside a record (torn append) and
-// between a SwapIntent and its SwapCommit (mid-swap). scan_journal() walks
-// the stream and stops at the first record that is short or fails its
-// CRC; everything after the cut is discarded, which is exactly the
-// recovery semantics of a torn tail. Recovery (recovery/recovery.h)
+// Every record is [type u8][len u8][payload][crc32 u32], encoded in a
+// fixed-size stack buffer and appended to the log in one copy. A crash can
+// cut the byte stream anywhere — including inside a record (torn append)
+// and between a SwapIntent and its SwapCommit (mid-swap). JournalReader,
+// the one decoder behind scan_journal() and recover(), walks the stream
+// and stops at the first record that is short or fails its CRC;
+// everything after the cut is discarded, which is exactly the recovery
+// semantics of a torn tail. Recovery (recovery/recovery.h)
 // replays writes whose WriteCommit survived and rolls back the at-most-one
 // write whose WriteBegin has no commit.
 //
@@ -51,6 +53,52 @@ enum class SwapKind : std::uint8_t {
   kExchange = 1, ///< Two-page exchange through the controller buffer.
 };
 
+/// Most logical addresses a BatchBegin record can carry (the payload's
+/// element count is a byte, and the controller chunks batches anyway).
+inline constexpr std::size_t kMaxJournalBatch = 32;
+
+/// One validated record as it sits in the journal byte stream: no copy,
+/// the payload points into the scanned bytes.
+struct JournalRecordView {
+  JournalRecordType type = JournalRecordType::kWriteBegin;
+  const std::uint8_t* payload = nullptr;
+  std::uint8_t len = 0;  ///< Payload bytes.
+
+  /// WriteBegin / WriteCommit / Batch*; 0 for the swap records.
+  [[nodiscard]] std::uint64_t seq() const;
+  /// The logical addresses a Begin record opens, as a flat little-endian
+  /// u32 array: one for WriteBegin, the group for BatchBegin, none for
+  /// every other type.
+  [[nodiscard]] std::size_t address_count() const;
+  [[nodiscard]] LogicalPageAddr address(std::size_t i) const;
+};
+
+/// The one record decoder: walks a (possibly crash-truncated) journal
+/// byte stream and stops at the first record that is short, of unknown
+/// type, of the wrong length for its type, CRC-failed, or a BatchBegin
+/// whose count byte disagrees with its length. `bytes` must outlive the
+/// reader and every view it hands out.
+class JournalReader {
+ public:
+  explicit JournalReader(const std::vector<std::uint8_t>& bytes)
+      : data_(bytes.data()), size_(bytes.size()) {}
+
+  /// Decodes the next record into `out`; false at the end of the stream
+  /// or at the first bad record (nothing after it is read).
+  bool next(JournalRecordView& out);
+
+  /// Bytes covered by the records decoded so far.
+  [[nodiscard]] std::size_t valid_bytes() const { return pos_; }
+  /// After next() returned false: the stream ended inside a record (short
+  /// or CRC-failed tail) — the signature of a torn append.
+  [[nodiscard]] bool torn_tail() const { return pos_ != size_; }
+
+ private:
+  const std::uint8_t* data_;
+  std::size_t size_;
+  std::size_t pos_ = 0;
+};
+
 /// One decoded journal record (union-style: fields beyond `type` are
 /// meaningful per type).
 struct JournalRecord {
@@ -74,12 +122,10 @@ struct JournalScan {
   std::size_t valid_bytes = 0;
 };
 
-/// Decodes `bytes`, stopping cleanly at a torn tail.
+/// Decodes every record of `bytes` (through JournalReader) into owned
+/// JournalRecords, stopping cleanly at a torn tail. For inspection and
+/// tests; recover() reads the stream in place.
 [[nodiscard]] JournalScan scan_journal(const std::vector<std::uint8_t>& bytes);
-
-/// Most logical addresses a BatchBegin record can carry (the payload's
-/// element count is a byte, and the controller chunks batches anyway).
-inline constexpr std::size_t kMaxJournalBatch = 32;
 
 class MetadataJournal {
  public:
@@ -93,7 +139,8 @@ class MetadataJournal {
   /// the group (first seq `seq`), one Commit closing it. Replaces the
   /// 2*N per-write Begin/Commit records of the single-write protocol —
   /// the journal-bandwidth half of the WriteBegin/WriteCommit batch path.
-  /// `las` must hold 1..kMaxJournalBatch addresses.
+  /// `las` must hold 1..kMaxJournalBatch addresses (std::invalid_argument
+  /// otherwise).
   void append_batch_begin(std::uint64_t seq,
                           const LogicalPageAddr* las, std::size_t count);
   void append_batch_commit(std::uint64_t seq, std::size_t count);
@@ -123,8 +170,8 @@ class MetadataJournal {
   [[nodiscard]] std::uint64_t truncations() const { return truncations_; }
 
  private:
-  void append_record(JournalRecordType type,
-                     const std::vector<std::uint8_t>& payload);
+  class RecordEncoder;
+  void append(RecordEncoder& record);
 
   std::vector<std::uint8_t> bytes_;
   std::uint64_t total_bytes_ = 0;

@@ -11,77 +11,74 @@ RecoveryOutcome recover(WearLeveler& wl,
                         const std::vector<std::uint8_t>& journal_bytes) {
   restore_snapshot(wl, snapshot_blob);
 
-  const JournalScan scan = scan_journal(journal_bytes);
-
   RecoveryOutcome outcome;
-  outcome.torn_tail = scan.torn_tail;
-  outcome.journal_bytes_replayed = scan.valid_bytes;
+  NullWriteSink sink;
 
-  // First pass: group records into demand-write groups (a single write,
-  // or a failure-atomic batch of them) and find which groups committed.
-  // Records before the first Begin cannot occur (the journal is truncated
-  // at snapshot time, between writes).
-  struct PendingGroup {
-    std::vector<LogicalPageAddr> las;  ///< 1 per write in the group.
-    bool committed = false;
-    std::uint64_t committed_swaps = 0;
-    std::uint64_t orphan_swaps = 0;
-  };
-  std::vector<PendingGroup> groups;
+  // One pass over the records. The open group — a single write, or a
+  // failure-atomic batch of them — is the last Begin seen; its addresses
+  // stay in the journal bytes. Its fate is known when the next Begin (or
+  // the end of the valid stream) arrives: a committed group re-executes
+  // in order, an uncommitted one rolls back whole. Only the last group can
+  // be uncommitted (the controller appends its commit before the next
+  // Begin), but a malformed stream's earlier uncommitted groups are
+  // skipped and counted too. Records before the first Begin cannot occur
+  // (the journal is truncated at snapshot time, between writes); they
+  // only touch state the first Begin resets.
+  JournalRecordView group;
+  bool have_group = false;
+  bool committed = false;
+  std::uint64_t group_swaps = 0;  ///< Commits matched to open intents.
   std::uint64_t open_intents = 0;
-  for (const JournalRecord& rec : scan.records) {
+  const auto settle = [&](std::uint64_t orphans) {
+    if (!have_group) return;
+    if (committed) {
+      for (std::size_t i = 0; i < group.address_count(); ++i) {
+        wl.write(group.address(i), sink);
+      }
+      outcome.replayed_writes += group.address_count();
+      outcome.committed_swaps += group_swaps;
+    } else {
+      if (!outcome.rolled_back_la) outcome.rolled_back_la = group.address(0);
+      outcome.rolled_back_writes += group.address_count();
+      outcome.orphan_swap_intents += orphans;
+    }
+  };
+
+  JournalReader reader(journal_bytes);
+  JournalRecordView rec;
+  while (reader.next(rec)) {
     switch (rec.type) {
       case JournalRecordType::kWriteBegin:
-        groups.push_back(PendingGroup{{rec.la}});
-        open_intents = 0;
-        break;
       case JournalRecordType::kBatchBegin:
-        groups.push_back(PendingGroup{rec.batch_las});
+        // An uncommitted group followed by another Begin never had its
+        // dangling intents attributed to it.
+        settle(0);
+        group = rec;
+        have_group = true;
+        committed = false;
+        group_swaps = 0;
         open_intents = 0;
         break;
       case JournalRecordType::kSwapIntent:
-        if (!groups.empty()) ++open_intents;
+        ++open_intents;
         break;
       case JournalRecordType::kSwapCommit:
-        if (!groups.empty() && open_intents > 0) {
+        if (open_intents > 0) {
           --open_intents;
-          ++groups.back().committed_swaps;
+          ++group_swaps;
         }
         break;
       case JournalRecordType::kWriteCommit:
       case JournalRecordType::kBatchCommit:
-        if (!groups.empty()) {
-          groups.back().committed = true;
-          groups.back().orphan_swaps = open_intents;
-        }
+        committed = true;
         break;
     }
   }
-  if (!groups.empty() && !groups.back().committed) {
-    groups.back().orphan_swaps = open_intents;
-  }
+  // The in-flight group at the cut owns every intent still open.
+  settle(open_intents);
 
-  // Second pass: re-execute every committed group in order. Only the last
-  // group can be uncommitted (the controller appends its commit before
-  // the next Begin), but the loop tolerates a malformed stream by
-  // skipping any uncommitted group rather than replaying it. An
-  // uncommitted batch rolls back whole: none of its writes replay.
-  NullWriteSink sink;
-  for (const PendingGroup& g : groups) {
-    if (g.committed) {
-      for (LogicalPageAddr la : g.las) {
-        wl.write(la, sink);
-        ++outcome.replayed_writes;
-      }
-      outcome.committed_swaps += g.committed_swaps;
-    } else {
-      if (!outcome.rolled_back_la && !g.las.empty()) {
-        outcome.rolled_back_la = g.las.front();
-      }
-      outcome.rolled_back_writes += g.las.size();
-      outcome.orphan_swap_intents += g.orphan_swaps;
-    }
-  }
+  outcome.torn_tail = reader.torn_tail();
+  outcome.journal_bytes_replayed = reader.valid_bytes();
   return outcome;
 }
 

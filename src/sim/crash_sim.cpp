@@ -37,10 +37,6 @@ class WriteStream {
     }
   }
 
-  void skip(std::uint64_t n) {
-    for (std::uint64_t i = 0; i < n; ++i) (void)next();
-  }
-
  private:
   static SyntheticParams make_params(const CrashSimParams& params,
                                      std::uint64_t logical_pages,
@@ -229,17 +225,16 @@ CrashTrialResult CrashSimulator::run_trial(std::uint64_t trial,
 
   // Invariant 5: the recovered scheme's future is indistinguishable from
   // the reference's — continue both to total_writes on identical streams
-  // and compare final metadata.
+  // and compare final metadata. The reference stream stands at write
+  // `committed`, so each continuation address is drawn once for both.
   if (params_.verify_continuation) {
     const auto cont_device = make_device(endurance_, config_);
     MemoryController cont_controller(*cont_device, *recovered, config_,
                                      /*enable_timing=*/false);
-    WriteStream cont_stream(params_, recovered->logical_pages(),
-                            workload_seed);
-    cont_stream.skip(committed);
     for (std::uint64_t i = committed; i < params_.total_writes; ++i) {
-      cont_controller.submit(write_request(cont_stream.next()), 0);
-      ref_controller.submit(write_request(ref_stream.next()), 0);
+      const MemoryRequest req = write_request(ref_stream.next());
+      cont_controller.submit(req, 0);
+      ref_controller.submit(req, 0);
     }
     result.continuation_matches =
         take_snapshot(*recovered) == take_snapshot(*reference) &&

@@ -3,10 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "analysis/extrapolate.h"
 
 namespace twl {
+
+// Without this, gtest prints a ParsecBenchmark parameter as its raw bytes,
+// which include the heap address of `name`, so the listed test names would
+// change from run to run.
+void PrintTo(const ParsecBenchmark& b, std::ostream* os) { *os << b.name; }
+
 namespace {
 
 TEST(ParsecModel, HasAll13Benchmarks) {

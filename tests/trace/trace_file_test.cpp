@@ -10,7 +10,13 @@ namespace {
 
 class TraceFileTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "twl_trace_test.trc";
+  // One file per test: ctest runs every case as its own process, in
+  // parallel, so a shared name would race one case against another's
+  // TearDown.
+  std::string path_ =
+      ::testing::TempDir() + "twl_trace_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".trc";
 
   void TearDown() override { std::remove(path_.c_str()); }
 
