@@ -38,7 +38,9 @@ void Config::validate() const {
   require(endurance.table_bits > 0 && endurance.table_bits <= 32,
           "endurance.table_bits", "must be in [1, 32]");
 
-  require(twl.tossup_interval > 0, "twl.tossup_interval", "must be > 0");
+  // TossUpWl's write counters are at most 8 bits wide.
+  require(twl.tossup_interval > 0 && twl.tossup_interval <= 256,
+          "twl.tossup_interval", "must be in [1, 256]");
   // interpair_swap_interval == 0 disables inter-pair swaps (the ablation
   // bench's "off" row); TossUpWl guards the modulo accordingly.
   require(twl.adaptive_interval_max > 0, "twl.adaptive_interval_max",

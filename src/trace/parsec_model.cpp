@@ -1,8 +1,8 @@
 #include "trace/parsec_model.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace twl {
 
@@ -19,7 +19,10 @@ double ParsecBenchmark::target_top_fraction(std::uint64_t pages) const {
 
 std::unique_ptr<SyntheticTrace> ParsecBenchmark::make_source(
     std::uint64_t pages, std::uint64_t seed) const {
-  assert(pages > 1);
+  if (pages < 2) {
+    throw std::invalid_argument("PARSEC model " + name +
+                                ": pages must be at least 2");
+  }
   SyntheticParams p;
   p.pages = pages;
   p.stream_frac = stream_frac;

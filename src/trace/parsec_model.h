@@ -42,6 +42,7 @@ struct ParsecBenchmark {
   [[nodiscard]] double target_top_fraction(std::uint64_t pages) const;
 
   /// Build the calibrated request source over `pages` logical pages.
+  /// Throws std::invalid_argument if pages is below 2.
   [[nodiscard]] std::unique_ptr<SyntheticTrace> make_source(
       std::uint64_t pages, std::uint64_t seed) const;
 };

@@ -1,21 +1,36 @@
 #include "trace/synthetic.h"
 
-#include <cassert>
 #include <numeric>
+#include <stdexcept>
 #include <utility>
 
 namespace twl {
 
+namespace {
+
+const SyntheticParams& validated(const SyntheticParams& p) {
+  if (p.pages == 0) {
+    throw std::invalid_argument("SyntheticTrace: pages must be positive");
+  }
+  if (!(p.read_frac >= 0.0 && p.read_frac < 1.0)) {
+    throw std::invalid_argument("SyntheticTrace: read_frac must lie in [0, 1)");
+  }
+  if (!(p.stream_frac >= 0.0 && p.stream_frac <= 1.0)) {
+    throw std::invalid_argument(
+        "SyntheticTrace: stream_frac must lie in [0, 1]");
+  }
+  return p;
+}
+
+}  // namespace
+
 SyntheticTrace::SyntheticTrace(const SyntheticParams& params,
                                std::string name)
-    : params_(params),
+    : params_(validated(params)),
       name_(std::move(name)),
       rng_(params.seed ^ 0x57A7'1C7Aull),
       zipf_(params.pages, params.zipf_s),
       rank_to_page_(params.pages) {
-  assert(params.pages > 0);
-  assert(params.read_frac >= 0.0 && params.read_frac < 1.0);
-  assert(params.stream_frac >= 0.0 && params.stream_frac <= 1.0);
   // Scatter Zipf ranks over the address space with a Fisher-Yates shuffle
   // so that the hot set is not a contiguous prefix.
   std::iota(rank_to_page_.begin(), rank_to_page_.end(), 0u);
@@ -49,7 +64,9 @@ MemoryRequest SyntheticTrace::next() {
 UniformTrace::UniformTrace(std::uint64_t pages, double read_frac,
                            std::uint64_t seed)
     : pages_(pages), read_frac_(read_frac), rng_(seed ^ 0x0211F02Full) {
-  assert(pages > 0);
+  if (pages == 0) {
+    throw std::invalid_argument("UniformTrace: pages must be positive");
+  }
 }
 
 MemoryRequest UniformTrace::next() {

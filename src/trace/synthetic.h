@@ -39,6 +39,9 @@ struct SyntheticParams {
 
 class SyntheticTrace final : public RequestSource {
  public:
+  /// Throws std::invalid_argument if pages is 0, read_frac lies outside
+  /// [0, 1) or stream_frac outside [0, 1], or the Zipf component rejects
+  /// pages or zipf_s (see ZipfSampler).
   explicit SyntheticTrace(const SyntheticParams& params,
                           std::string name = "synthetic");
 
@@ -69,6 +72,7 @@ class SyntheticTrace final : public RequestSource {
 /// open-loop cousin).
 class UniformTrace final : public RequestSource {
  public:
+  /// Throws std::invalid_argument if pages is 0.
   UniformTrace(std::uint64_t pages, double read_frac, std::uint64_t seed);
 
   [[nodiscard]] std::string name() const override { return "uniform"; }

@@ -1,6 +1,5 @@
 #include "trace/trace_file.h"
 
-#include <cassert>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdlib>
@@ -119,11 +118,21 @@ MemoryRequest TraceFileSource::next() {
   return req;
 }
 
+namespace {
+
+// Checked before the writer opens (and creates) the trace file.
+std::unique_ptr<RequestSource> non_null(std::unique_ptr<RequestSource> inner) {
+  if (inner == nullptr) {
+    throw std::invalid_argument("RecordingSource: inner source is null");
+  }
+  return inner;
+}
+
+}  // namespace
+
 RecordingSource::RecordingSource(std::unique_ptr<RequestSource> inner,
                                  const std::string& path)
-    : inner_(std::move(inner)), writer_(path) {
-  assert(inner_ != nullptr);
-}
+    : inner_(non_null(std::move(inner))), writer_(path) {}
 
 MemoryRequest RecordingSource::next() {
   const MemoryRequest req = inner_->next();

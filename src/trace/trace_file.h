@@ -63,6 +63,7 @@ class TraceFileSource final : public RequestSource {
 /// Tees an inner source to a trace file while passing requests through.
 class RecordingSource final : public RequestSource {
  public:
+  /// Throws std::invalid_argument if inner is null.
   RecordingSource(std::unique_ptr<RequestSource> inner,
                   const std::string& path);
 

@@ -1,7 +1,8 @@
 #include "wl/tossup_wl.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "recovery/snapshot.h"
@@ -35,9 +36,13 @@ TossUpWl::TossUpWl(const EnduranceMap& endurance, const TwlParams& params,
                      ? endurance.pages()
                      : 0,
                  0) {
-  assert(params_.tossup_interval >= 1);
-  assert(params_.tossup_interval <= wct_.max_value() + 1 &&
-         "toss-up interval must fit the WCT");
+  if (params_.tossup_interval < 1 ||
+      params_.tossup_interval > wct_.max_value() + 1) {
+    throw std::invalid_argument(
+        "TossUpWl: tossup_interval = " +
+        std::to_string(params_.tossup_interval) + " must lie in [1, " +
+        std::to_string(wct_.max_value() + 1) + "] to fit the WCT");
+  }
 }
 
 std::string TossUpWl::name() const {

@@ -71,6 +71,8 @@ TEST(ConfigValidate, RejectsBadSchemeKnobs) {
   Config c = valid_config();
   c.twl.tossup_interval = 0;
   expect_rejects(c, "twl.tossup_interval");
+  c.twl.tossup_interval = 257;
+  expect_rejects(c, "twl.tossup_interval");
 
   c = valid_config();
   c.bwl.epoch_max = c.bwl.epoch_min - 1;

@@ -31,6 +31,14 @@ TEST(ParsecModel, LookupUnknownThrows) {
   EXPECT_THROW((void)parsec_benchmark("doom"), std::invalid_argument);
 }
 
+TEST(ParsecModel, MakeSourceRejectsFootprintsBelowTwoPages) {
+  for (const std::uint64_t pages : {0, 1}) {
+    EXPECT_THROW((void)parsec_benchmark("canneal").make_source(pages, 1),
+                 std::invalid_argument)
+        << pages;
+  }
+}
+
 TEST(ParsecModel, Table2ValuesMatchThePaper) {
   const std::map<std::string, std::tuple<double, double, double>> expected{
       {"blackscholes", {121, 446, 14.5}}, {"bodytrack", {271, 199, 8.0}},

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
+#include <stdexcept>
 
 namespace twl {
 namespace {
@@ -80,6 +82,29 @@ TEST(SyntheticTrace, DeterministicForSeed) {
     EXPECT_EQ(ra.op, rb.op);
     EXPECT_EQ(ra.addr, rb.addr);
   }
+}
+
+TEST(SyntheticTrace, RejectsOutOfRangeParams) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  SyntheticParams p = params(0, 1.0, 0.1, 0.6);
+  EXPECT_THROW(SyntheticTrace{p}, std::invalid_argument);
+  for (const double read : {-0.1, 1.0, 1.5, nan}) {
+    p = params(64, 1.0, 0.1, read);
+    EXPECT_THROW(SyntheticTrace{p}, std::invalid_argument) << read;
+  }
+  for (const double stream : {-0.1, 1.1, nan}) {
+    p = params(64, 1.0, stream, 0.6);
+    EXPECT_THROW(SyntheticTrace{p}, std::invalid_argument) << stream;
+  }
+  p = params(64, nan, 0.1, 0.6);
+  EXPECT_THROW(SyntheticTrace{p}, std::invalid_argument);
+  // The edges of each range are legal.
+  EXPECT_NO_THROW(SyntheticTrace{params(1, 1.0, 0.0, 0.0)});
+  EXPECT_NO_THROW(SyntheticTrace{params(64, 1.0, 1.0, 0.0)});
+}
+
+TEST(UniformTrace, RejectsEmptyFootprint) {
+  EXPECT_THROW(UniformTrace(0, 0.5, 1), std::invalid_argument);
 }
 
 TEST(UniformTrace, UniformCoverage) {

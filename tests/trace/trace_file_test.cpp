@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 
 namespace twl {
 namespace {
@@ -183,6 +184,11 @@ TEST_F(TraceFileTest, RecordingSourceTees) {
     EXPECT_EQ(a.op, b.op);
     EXPECT_EQ(a.addr, b.addr);
   }
+}
+
+TEST_F(TraceFileTest, RecordingSourceRejectsNullInnerBeforeCreatingFile) {
+  EXPECT_THROW(RecordingSource(nullptr, path_), std::invalid_argument);
+  EXPECT_FALSE(std::ifstream(path_).good());
 }
 
 }  // namespace

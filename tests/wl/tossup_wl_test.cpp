@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/rng.h"
 #include "wl/shadow_sink.h"
 
@@ -141,12 +143,18 @@ TEST(TossUpWl, SwapPreservesBothPagesData) {
   EXPECT_FALSE(sink.first_integrity_violation(wl).has_value());
 }
 
+// The largest legal toss-up interval is 256, one past the 8-bit WCT's
+// maximum. The counter saturates at 255, so toss-ups never fire: the
+// inter-pair swap tests below use it to isolate the inter-pair engine.
+constexpr std::uint32_t kTossupsOff = 256;
+
 TEST(TossUpWl, InterPairSwapFiresOnGlobalInterval) {
   EnduranceMap map(std::vector<std::uint64_t>(64, 1000));
-  TwlParams p = twl_params(1000000, /*interpair=*/16);
+  TwlParams p = twl_params(kTossupsOff, /*interpair=*/16);
   TossUpWl wl(map, p, WlLatencies{}, 27, 7);
   testing::ShadowSink sink(64);
   for (int i = 0; i < 160; ++i) wl.write(LogicalPageAddr(0), sink);
+  EXPECT_EQ(wl.tossups(), 0u);
   // Every 16th demand write swaps with a random address (minus the rare
   // self-swap skip).
   EXPECT_GE(wl.interpair_swaps(), 8u);
@@ -156,14 +164,26 @@ TEST(TossUpWl, InterPairSwapFiresOnGlobalInterval) {
 
 TEST(TossUpWl, InterPairSwapRelocatesHammeredPage) {
   EnduranceMap map(std::vector<std::uint64_t>(64, 1000));
-  TossUpWl wl(map, twl_params(1000000, 8), WlLatencies{}, 27, 8);
+  TossUpWl wl(map, twl_params(kTossupsOff, 8), WlLatencies{}, 27, 8);
   testing::ShadowSink sink(64);
   std::set<std::uint32_t> homes;
   for (int i = 0; i < 512; ++i) {
     homes.insert(wl.map_read(LogicalPageAddr(0)).value());
     wl.write(LogicalPageAddr(0), sink);
   }
+  EXPECT_EQ(wl.tossups(), 0u);
   EXPECT_GT(homes.size(), 16u);
+}
+
+TEST(TossUpWl, RejectsIntervalsTheWctCannotCount) {
+  const EnduranceMap map = two_pages(100, 100);
+  for (const std::uint32_t interval : {0u, kTossupsOff + 1, 1000000u}) {
+    EXPECT_THROW(TossUpWl(map, twl_params(interval), WlLatencies{}, 27, 1),
+                 std::invalid_argument)
+        << interval;
+  }
+  EXPECT_NO_THROW(
+      TossUpWl(map, twl_params(kTossupsOff), WlLatencies{}, 27, 1));
 }
 
 TEST(TossUpWl, StorageIsExactly80BitsPerPage) {
